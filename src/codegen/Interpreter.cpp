@@ -11,6 +11,7 @@ using namespace lcdfg;
 using namespace lcdfg::codegen;
 
 int KernelRegistry::add(Kernel K, BatchedKernel B) {
+  Identity.renew();
   Kernels.push_back(std::move(K));
   BatchedKernels.push_back(B);
   Exprs.emplace_back();

@@ -21,6 +21,7 @@
 #include "codegen/KernelExpr.h"
 #include "graph/Graph.h"
 #include "storage/StorageMap.h"
+#include "support/InstanceId.h"
 
 #include <cstdint>
 #include <functional>
@@ -71,7 +72,14 @@ public:
   /// registered (opaque kernels stay on the interpreted paths).
   const KernelExpr *expr(int Id) const;
 
+  /// Process-unique identity: fresh on construction, copy, move and every
+  /// add(). Compiled plan executables key on it, so a registry rebuilt
+  /// at the same address (or grown after a run) never reuses bodies
+  /// installed from another one.
+  std::uint64_t id() const { return Identity.value(); }
+
 private:
+  InstanceId Identity;
   std::vector<Kernel> Kernels;
   std::vector<BatchedKernel> BatchedKernels;
   std::vector<std::optional<KernelExpr>> Exprs;

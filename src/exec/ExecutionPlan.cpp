@@ -411,8 +411,9 @@ const std::vector<std::vector<bool>> &ExecutionPlan::dependenceClosure() const {
     NumEdges += static_cast<std::int64_t>(T.Deps.size());
   const std::pair<std::int64_t, std::int64_t> Key{
       static_cast<std::int64_t>(Tasks.size()), NumEdges};
-  if (Key == ClosureKey)
-    return ClosureCache;
+  std::lock_guard<std::mutex> Lock(Lazy.Mu);
+  if (Key == Lazy.ClosureKey)
+    return Lazy.Closure;
   std::vector<std::vector<bool>> Closure(
       Tasks.size(), std::vector<bool>(Tasks.size(), false));
   for (std::size_t J = 0; J < Tasks.size(); ++J) {
@@ -426,9 +427,9 @@ const std::vector<std::vector<bool>> &ExecutionPlan::dependenceClosure() const {
           Closure[J][I] = true;
     }
   }
-  ClosureCache = std::move(Closure);
-  ClosureKey = Key;
-  return ClosureCache;
+  Lazy.Closure = std::move(Closure);
+  Lazy.ClosureKey = Key;
+  return Lazy.Closure;
 }
 
 void ExecutionPlan::addDependence(int Before, int After) {

@@ -35,11 +35,21 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 namespace lcdfg {
+namespace codegen {
+class KernelRegistry;
+} // namespace codegen
+namespace jit {
+class Engine;
+} // namespace jit
 namespace exec {
+
+struct Executable;
 
 using ParamEnv = std::map<std::string, std::int64_t, std::less<>>;
 
@@ -188,21 +198,50 @@ public:
   /// topological order, so the closure is a single backward sweep. Exported
   /// for the static legality verifier, which checks every conflicting task
   /// pair against it; the list scheduler's priority pass and the trace
-  /// checker share the same bits. Memoized: the O(N^2) sweep reruns only
-  /// when the task/edge shape changed since the last call (members are
-  /// public, so validity is keyed on task and edge counts — mutating Deps
-  /// in place without changing either count is not supported). The
-  /// reference is invalidated by the next shape change.
+  /// checker share the same bits. Memoized under the plan's lock, so
+  /// concurrent readers are safe: the O(N^2) sweep reruns only when the
+  /// task/edge shape changed since the last call (members are public, so
+  /// validity is keyed on task and edge counts — mutating Deps in place
+  /// without changing either count is not supported). The reference is
+  /// invalidated by the next shape change.
   const std::vector<std::vector<bool>> &dependenceClosure() const;
+
+  /// The compiled executable of this plan for \p Kernels and \p Jit
+  /// (nullptr = interpreted bodies): row analysis, K-checks and JIT
+  /// lookup for every instruction, done on the first call for that
+  /// (registry, engine) identity pair and shared by every later run.
+  /// Concurrent first calls build it exactly once. Defined in
+  /// exec/Executable.cpp; see that header for the memoization rules.
+  std::shared_ptr<const Executable>
+  executable(const codegen::KernelRegistry &Kernels, jit::Engine *Jit) const;
 
   /// Human-readable plan listing (the --dump-plan output).
   std::string dump() const;
 
 private:
-  mutable std::vector<std::vector<bool>> ClosureCache;
-  /// Shape stamp of the cached closure: (task count, total edge count),
-  /// or (-1, -1) when nothing is cached.
-  mutable std::pair<std::int64_t, std::int64_t> ClosureKey{-1, -1};
+  /// State derived lazily from the plan, under one lock. A copy or move
+  /// of the plan starts empty — a copy is mutated independently (the
+  /// recovery ladder corrupts one for fault drills) and must never run
+  /// the original's row plans.
+  struct Memo {
+    Memo() = default;
+    Memo(const Memo &) noexcept {}
+    Memo &operator=(const Memo &) {
+      std::lock_guard<std::mutex> Lock(Mu);
+      Closure.clear();
+      ClosureKey = {-1, -1};
+      Executables.clear();
+      return *this;
+    }
+
+    std::mutex Mu;
+    std::vector<std::vector<bool>> Closure;
+    /// Shape stamp of the cached closure: (task count, total edge count),
+    /// or (-1, -1) when nothing is cached.
+    std::pair<std::int64_t, std::int64_t> ClosureKey{-1, -1};
+    std::vector<std::shared_ptr<const Executable>> Executables;
+  };
+  mutable Memo Lazy;
 };
 
 } // namespace exec

@@ -7,6 +7,7 @@
 
 #include "exec/PlanRunner.h"
 
+#include "exec/Executable.h"
 #include "exec/FaultInjector.h"
 #include "exec/RowPlan.h"
 #include "exec/TaskGraph.h"
@@ -24,6 +25,7 @@
 #include <limits>
 #include <map>
 #include <mutex>
+#include <numeric>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -254,13 +256,12 @@ void runInstr(const NestInstr &I, const codegen::KernelRegistry &Kernels,
 }
 
 /// Runs task \p T of \p Plan with the given space table and participant.
-/// \p Rows, when non-null, is the per-instruction row-batched compilation
-/// (indexed by instruction); instructions whose entry is engaged run
-/// through RowPlan::run, the rest through the scalar interpreter.
+/// \p Exe, when non-null, is the plan's compiled executable; instructions
+/// whose row plan is engaged run through RowPlan::run, the rest through
+/// the scalar interpreter.
 void runTask(const ExecutionPlan &Plan, int T,
              const codegen::KernelRegistry &Kernels, double *const *Spaces,
-             const std::optional<RowPlan> *Rows, Collector &C,
-             int Participant) {
+             const Executable *Exe, Collector &C, int Participant) {
   int InstrIdx = Plan.Tasks[T].Instr;
   const NestInstr &I = Plan.Instrs[InstrIdx];
   FaultInjector &FI = FaultInjector::global();
@@ -298,11 +299,13 @@ void runTask(const ExecutionPlan &Plan, int T,
   if (FI.shouldFire(FaultSite::Kernel))
     support::raise(support::ErrorCode::FaultInjected,
                    "injected kernel exception in " + I.Label);
-  if (Rows && Rows[InstrIdx]) {
+  const std::optional<RowPlan> *Row =
+      Exe ? &Exe->Rows[static_cast<std::size_t>(InstrIdx)].Plan : nullptr;
+  if (Row && *Row) {
     Clock::time_point Start = Clock::now();
     std::int64_t Points = 0, RawReads = 0;
     RowRunCounters RC;
-    Rows[InstrIdx]->run(Spaces, Points, RawReads, Tr ? &RC : nullptr);
+    (*Row)->run(Spaces, Points, RawReads, Tr ? &RC : nullptr);
     C.credit(InstrIdx, Participant, secondsSince(Start), Points, RawReads);
     if (Tr) {
       Tr->add(obs::Counter::BatchedInstrs, 1);
@@ -572,30 +575,28 @@ PlanStats exec::runPlan(const ExecutionPlan &Plan,
     Threads = 1; // Element counting shares one collector.
   Collector C(Plan, Opts.CollectStats, Threads);
 
-  // Row-batch the instructions once per run; the compiled plans are
-  // immutable and shared by every worker. Stats runs stay on the scalar
+  // Select the plan's compiled executable (built on the first batched run
+  // for this registry and engine); its row plans are immutable and shared
+  // by every worker and every later run. Stats runs stay on the scalar
   // interpreter, which owns the element counting.
-  std::vector<std::optional<RowPlan>> Rows;
-  const std::optional<RowPlan> *RowsPtr = nullptr;
+  std::shared_ptr<const Executable> Exe;
   if (Opts.Batched && !Opts.CollectStats) {
-    // Kernel provenance: under Jit mode each statement body is swapped for
-    // a shape-specialized compiled kernel where the engine can produce
+    // Kernel provenance: under Jit mode each statement body is a
+    // shape-specialized compiled kernel where the engine could produce
     // one; unspecializable statements keep the interpreted body (counted
-    // as exec.jit.fallbacks so --metrics shows partial downgrades).
+    // as exec.jit.fallbacks on every run so --metrics shows partial
+    // downgrades).
     jit::Engine *Jit = nullptr;
     if (effectiveKernelMode(Opts.Kernels) == KernelMode::Jit)
       Jit = Opts.Jit ? Opts.Jit : &jit::Engine::global();
-    obs::Tracer &Tr = obs::Tracer::global();
-    Rows.reserve(Plan.Instrs.size());
-    for (const NestInstr &I : Plan.Instrs) {
-      RowAnalysis RA = RowPlan::analyze(I, Kernels, Jit);
-      if (Jit && RA.Plan)
-        Tr.add(obs::Counter::JitFallbacks,
-               static_cast<std::int64_t>(RA.Plan->Stmts.size()) - RA.JitStmts);
-      Rows.push_back(std::move(RA.Plan));
-    }
-    RowsPtr = Rows.data();
+    Exe = Plan.executable(Kernels, Jit);
+    if (Jit)
+      obs::Tracer::global().add(
+          obs::Counter::JitFallbacks,
+          std::accumulate(Exe->JitFallbacks.begin(), Exe->JitFallbacks.end(),
+                          std::int64_t{0}));
   }
+  const Executable *Compiled = Exe.get();
 
   Clock::time_point Start = Clock::now();
 
@@ -682,7 +683,7 @@ PlanStats exec::runPlan(const ExecutionPlan &Plan,
               std::fill_n(Shared[S], Store.space(S).size(), ScratchInit);
         LastTile = Tile;
       }
-      runTask(Plan, static_cast<int>(T), Kernels, Shared.data(), RowsPtr, C,
+      runTask(Plan, static_cast<int>(T), Kernels, Shared.data(), Compiled, C,
               0);
     }
     PlanStats St =
@@ -697,8 +698,8 @@ PlanStats exec::runPlan(const ExecutionPlan &Plan,
     // guarantee no two concurrent tasks touch the same space.
     TaskGraph TG;
     for (std::size_t T = 0; T < Plan.Tasks.size(); ++T)
-      TG.addTask([&Plan, &Kernels, &Shared, RowsPtr, &C, T](int Participant) {
-        runTask(Plan, static_cast<int>(T), Kernels, Shared.data(), RowsPtr, C,
+      TG.addTask([&Plan, &Kernels, &Shared, Compiled, &C, T](int Participant) {
+        runTask(Plan, static_cast<int>(T), Kernels, Shared.data(), Compiled, C,
                 Participant);
       });
     for (std::size_t T = 0; T < Plan.Tasks.size(); ++T)
@@ -764,7 +765,7 @@ PlanStats exec::runPlan(const ExecutionPlan &Plan,
 
   TaskGraph TG;
   for (const std::vector<int> &Group : Groups)
-    TG.addTask([&Plan, &Kernels, &Tables, &Store, RowsPtr, &C, &Group,
+    TG.addTask([&Plan, &Kernels, &Tables, &Store, Compiled, &C, &Group,
                 ScratchInit](int Participant) {
       double *const *Spaces = Tables[static_cast<std::size_t>(Participant)]
                                   .data();
@@ -776,7 +777,7 @@ PlanStats exec::runPlan(const ExecutionPlan &Plan,
         if (!Plan.SpacePersistent[S])
           std::fill_n(Spaces[S], Store.space(S).size(), ScratchInit);
       for (int T : Group)
-        runTask(Plan, T, Kernels, Spaces, RowsPtr, C, Participant);
+        runTask(Plan, T, Kernels, Spaces, Compiled, C, Participant);
     });
   std::set<std::pair<int, int>> Seen;
   for (std::size_t T = 0; T < Plan.Tasks.size(); ++T)

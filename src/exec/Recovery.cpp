@@ -2,8 +2,8 @@
 
 #include "exec/Recovery.h"
 
+#include "exec/Executable.h"
 #include "exec/FaultInjector.h"
-#include "exec/RowPlan.h"
 #include "exec/ThreadPool.h"
 #include "jit/JitEngine.h"
 #include "obs/Trace.h"
@@ -200,53 +200,55 @@ RunReport exec::runWithRecovery(const ExecutionPlan &Plan,
       }
     }
 
-    // Batched-compile refusal: an instruction whose statement interleave
-    // has no provable segment cap keeps the whole run on the scalar path
-    // (the per-instruction fallback inside runPlan covers the benign
-    // refusal classes silently; the unsafe class is worth reporting).
+    // Both batched-path checks select from the executable runPlan will
+    // run (built here on a cold plan, memoized for every later request).
     if (O.Batched) {
-      for (const NestInstr &I : Cur->Instrs) {
-        if (I.External)
-          continue;
-        if (RowPlan::analyze(I, Kernels).Refusal ==
-            RowRefusal::UnsafeInterleave) {
+      jit::Engine *Eng = nullptr;
+      if (O.Kernels == KernelMode::Jit)
+        Eng = O.Jit ? O.Jit : &jit::Engine::global();
+      const std::shared_ptr<const Executable> Exe =
+          Cur->executable(Kernels, Eng);
+
+      // Batched-compile refusal: an instruction whose statement interleave
+      // has no provable segment cap keeps the whole run on the scalar path
+      // (runPlan's per-instruction fallback covers the benign refusal
+      // classes silently; the unsafe class is worth reporting).
+      for (std::size_t I = 0; I < Exe->Rows.size(); ++I)
+        if (Exe->Rows[I].Refusal == RowRefusal::UnsafeInterleave) {
           NoteDescent(ReasonBatchedRefusal,
-                      "instruction " + I.Label +
+                      "instruction " + Cur->Instrs[I].Label +
                           ": no safe segment cap provable");
           O.Batched = false;
           break;
         }
-      }
-    }
 
-    // JIT availability: requested-but-undeliverable specialization is
-    // reported once (L008) and the run proceeds on the interpreted batched
-    // bodies — never a hard error. Kernels without an expression form are
-    // benign (like NoBatchedKernel above) and stay silent; a dead engine,
-    // a failing host compile, or a translation-validation rejection is
-    // worth a descent.
-    if (!JitChecked && O.Batched && O.Kernels == KernelMode::Jit) {
-      JitChecked = true;
-      jit::Engine *Eng = O.Jit ? O.Jit : &jit::Engine::global();
-      std::string Why;
-      if (!Eng->available()) {
-        Why = "engine unavailable: " + Eng->unavailableReason();
-      } else {
-        for (const NestInstr &I : Cur->Instrs) {
-          if (I.External)
-            continue;
-          RowAnalysis RA = RowPlan::analyze(I, Kernels, Eng);
-          if (RA.Jit == JitRefusal::EngineUnavailable ||
-              RA.Jit == JitRefusal::CompileFailed ||
-              RA.Jit == JitRefusal::ValidationRejected) {
-            Why = "instruction " + I.Label + ": " + RA.JitDetail;
-            break;
+      // JIT availability: requested-but-undeliverable specialization is
+      // reported once (L008) and the run proceeds on the interpreted
+      // batched bodies — never a hard error. Kernels without an
+      // expression form are benign (like NoBatchedKernel above) and stay
+      // silent; a dead engine, a failing host compile, or a
+      // translation-validation rejection is worth a descent.
+      if (!JitChecked && O.Batched && Eng) {
+        JitChecked = true;
+        std::string Why;
+        if (!Eng->available()) {
+          Why = "engine unavailable: " + Eng->unavailableReason();
+        } else {
+          for (std::size_t I = 0; I < Exe->Rows.size(); ++I) {
+            const RowAnalysis &RA = Exe->Rows[I];
+            if (RA.Jit == JitRefusal::EngineUnavailable ||
+                RA.Jit == JitRefusal::CompileFailed ||
+                RA.Jit == JitRefusal::ValidationRejected) {
+              Why = "instruction " + Cur->Instrs[I].Label + ": " +
+                    RA.JitDetail;
+              break;
+            }
           }
         }
-      }
-      if (!Why.empty()) {
-        NoteDescent(ReasonJitUnavailable, std::move(Why));
-        O.Kernels = KernelMode::Interp;
+        if (!Why.empty()) {
+          NoteDescent(ReasonJitUnavailable, std::move(Why));
+          O.Kernels = KernelMode::Interp;
+        }
       }
     }
 

@@ -34,6 +34,7 @@
 
 #include "codegen/CPrinter.h"
 #include "codegen/Interpreter.h"
+#include "support/InstanceId.h"
 #include "support/Status.h"
 
 #include <cstdint>
@@ -109,6 +110,9 @@ public:
   const std::string &cacheDir() const { return Opts.CacheDir; }
   /// The probed compiler identity line folded into cache keys.
   std::string compilerVersion();
+  /// Process-unique identity (never reused, unlike the address): compiled
+  /// plan executables key their installed bodies on it.
+  std::uint64_t id() const { return Identity.value(); }
 
 private:
   /// Cache-or-compile under Mu: in-memory map, then the on-disk object,
@@ -125,6 +129,7 @@ private:
   support::Status probe();
   void resolveVersionLocked();
 
+  const InstanceId Identity;
   EngineOptions Opts;
   std::mutex Mu;
   bool Probed = false;

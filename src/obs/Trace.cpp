@@ -61,6 +61,8 @@ std::string_view obs::counterName(Counter C) {
     return "exec.jit.cache.hits";
   case Counter::JitFallbacks:
     return "exec.jit.fallbacks";
+  case Counter::RowsBuilt:
+    return "exec.rows.built";
   case Counter::ShardExchanges:
     return "rt.shard.exchanges";
   case Counter::ShardBytes:

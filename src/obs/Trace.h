@@ -84,6 +84,9 @@ enum class Counter : unsigned {
                    ///  specialization but ran the interpreted batched body
                    ///  (no expression form, compiler unavailable, or a
                    ///  compile/load failure).
+  RowsBuilt,       ///< exec.rows.built: plan executables built (row
+                   ///  analysis, K-checks and JIT lookup for every
+                   ///  instruction) — once per (plan, registry, engine).
   ShardExchanges,  ///< rt.shard.exchanges: completed cross-process halo
                    ///  exchange phases (one per worker per step), as
                    ///  reported back to the coordinator.

@@ -232,12 +232,6 @@ support::Expected<CompiledPlanPtr> compileImpl(const RequestSpec &Spec) {
     CP->VerifyDetail = Diags.toString();
   }
 
-  // Pre-warm the lazily memoized dependence closures: concurrent requests
-  // share this entry read-only, and the first closure computation is the
-  // one mutation a cold plan would otherwise make under readers.
-  (void)CP->Plan.dependenceClosure();
-  (void)CP->FbPlan.dependenceClosure();
-
   CP->CompileSeconds =
       std::chrono::duration<double>(Clock::now() - T0).count();
   return CompiledPlanPtr(std::move(CP));

@@ -25,9 +25,11 @@
 ///
 /// A CompiledPlan is immutable after construction and shared by every
 /// request that hits it (shared_ptr, so an entry evicted mid-flight stays
-/// alive until its last request completes). Everything a concurrent run
-/// reads is pre-warmed at compile time — including both plans' dependence
-/// closures, whose lazy memoization would otherwise race.
+/// alive until its last request completes). What the plans derive lazily
+/// — dependence closures and, per kernel mode, the executable with its
+/// row plans, K-check verdicts and JIT bodies — is memoized on each plan
+/// under its own lock by the first request that needs it, so a warm
+/// request (kernels=jit included) only selects from it.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -32,7 +32,8 @@
 ///
 /// Wired three ways: RowPlan::analyze refuses to install any kernel that
 /// fails validation (JitRefusal::ValidationRejected, surfaced through the
-/// L008 recovery rung), `lcdfg-opt --verify` runs it whenever a JIT engine
+/// L008 recovery rung; once per build of a plan's exec::Executable, not
+/// per run), `lcdfg-opt --verify` runs it whenever a JIT engine
 /// is selectable, and `lcdfg-lint --jit-static` validates every example
 /// config without needing a host compiler present.
 ///

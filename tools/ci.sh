@@ -330,7 +330,11 @@ serve_fault_row() {
 # pool paths under TSan with the worker pool pinned small (the soak is
 # excluded there: 5k requests under the race detector would dominate the
 # whole CI run; the protocol suite's concurrent-client tests cover the
-# same interleavings), then the process-level fault matrix.
+# same interleavings), then the process-level fault matrix. The tsan legs
+# also race pool participants on the first run of a shared, never-run
+# plan (the Executable suite): its compiled executable — row plans,
+# K-checks, JIT bodies — must be built exactly once and every box must
+# stay bit-identical to the scalar-serial oracle.
 serve_stage() {
   ./build-asan/tests/test_serve
   local T
@@ -338,6 +342,8 @@ serve_stage() {
     echo "== serve: tsan suite with LCDFG_THREADS=${T} =="
     LCDFG_THREADS="${T}" ./build-tsan/tests/test_serve \
       --gtest_filter='-ServeSoak.*'
+    LCDFG_THREADS="${T}" ./build-tsan/tests/test_exec \
+      --gtest_filter='Executable.*'
   done
   serve_fault_row serve:drop E018-peer-lost 30000
   serve_fault_row serve:truncate E020-protocol 30000
@@ -514,7 +520,7 @@ for PRESET in "${PRESETS[@]}"; do
     cmake --preset asan
     cmake --build --preset asan -j "${JOBS}" --target test_serve
     cmake --preset tsan
-    cmake --build --preset tsan -j "${JOBS}" --target test_serve
+    cmake --build --preset tsan -j "${JOBS}" --target test_serve test_exec
     cmake --preset default
     cmake --build --preset default -j "${JOBS}" --target lcdfg-serve \
       lcdfg-load

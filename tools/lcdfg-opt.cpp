@@ -66,6 +66,7 @@
 #include "codegen/CPrinter.h"
 #include "codegen/Generator.h"
 #include "codegen/IsccExport.h"
+#include "exec/Executable.h"
 #include "exec/ExecutionPlan.h"
 #include "exec/PlanRunner.h"
 #include "exec/Recovery.h"
@@ -682,10 +683,14 @@ int runTool(int argc, char **argv) {
             exec::effectiveKernelMode(KernelMode) == exec::KernelMode::Jit
                 ? &jit::Engine::global()
                 : nullptr;
-        for (const exec::NestInstr &I : Plan.Instrs) {
+        // Selected from the plan's executable, which the run below reuses.
+        const std::shared_ptr<const exec::Executable> Exe =
+            Plan.executable(Kernels, Eng);
+        for (std::size_t II = 0; II < Plan.Instrs.size(); ++II) {
+          const exec::NestInstr &I = Plan.Instrs[II];
           if (I.External)
             continue;
-          exec::RowAnalysis RA = exec::RowPlan::analyze(I, Kernels, Eng);
+          const exec::RowAnalysis &RA = Exe->Rows[II];
           OS << "dispatch " << I.Label << ": batched=";
           if (RA.Plan)
             OS << "yes";

@@ -117,6 +117,13 @@ struct ErrorCase {
   const char *ExpectSubstring;
 };
 
+// Name the case by its expected diagnostic: the default byte dump would put
+// string-literal addresses, which change from run to run, into the
+// discovered test names.
+void PrintTo(const ErrorCase &C, std::ostream *OS) {
+  *OS << '"' << C.ExpectSubstring << '"';
+}
+
 class PragmaParserErrors : public ::testing::TestWithParam<ErrorCase> {};
 
 TEST_P(PragmaParserErrors, Reports) {

@@ -82,6 +82,16 @@ struct ParseCase {
   const char *Expected; // nullptr => parse failure expected
 };
 
+// Print the case as text: the default byte dump would put string-literal
+// addresses, which change from run to run, into the discovered test names.
+void PrintTo(const ParseCase &C, std::ostream *OS) {
+  *OS << '"' << C.Text << "\" -> ";
+  if (C.Expected)
+    *OS << '"' << C.Expected << '"';
+  else
+    *OS << "no parse";
+}
+
 class AffineExprParse : public ::testing::TestWithParam<ParseCase> {};
 
 TEST_P(AffineExprParse, RoundTrips) {
